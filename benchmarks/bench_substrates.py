@@ -1,11 +1,12 @@
 """Microbenchmarks for the substrates (repeated-timing mode).
 
 These measure the hot paths the figure experiments sit on: autograd
-training rounds, conv forward/backward, sparse solvers, WSN aggregation
-simulation and dataset generation.
+training rounds, conv forward/backward, the optimiser step, sparse
+solvers, WSN aggregation simulation and dataset generation.
 """
 
 import numpy as np
+import pytest
 
 from repro import nn
 from repro.cs import gaussian_matrix, omp
@@ -66,6 +67,55 @@ class TestNNSubstrate:
             return out.shape
 
         assert benchmark(step) == (32, 16, 14, 14)
+
+
+# Dense layer shapes (weight, bias, ...) of the models whose Adam steps
+# dominate: DCSNet on the signs task (3072 -> 1024 encoder, 1024 -> 2048
+# decoder seed layer) and the 40-device, latent-6 fleet autoencoder.
+ADAM_SHAPES = {
+    "dcsnet_signs": [(3072, 1024), (1024,), (1024, 2048), (2048,)],
+    "fleet_40x6": [(40, 6), (6,), (6, 40), (40,)],
+}
+
+
+def reference_adam_step(datas, ms, vs, grads, t, lr=1e-3, beta1=0.9,
+                        beta2=0.999, eps=1e-8):
+    """The allocating Adam expressions the in-place step must match."""
+    bias1 = 1.0 - beta1 ** t
+    bias2 = 1.0 - beta2 ** t
+    for i, (m, v, grad) in enumerate(zip(ms, vs, grads)):
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        datas[i] = datas[i] - lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+
+class TestOptimizerLayer:
+    @pytest.mark.parametrize("model", sorted(ADAM_SHAPES))
+    def test_adam_step(self, benchmark, model):
+        rng = np.random.default_rng(0)
+        params = [nn.Parameter(rng.standard_normal(shape))
+                  for shape in ADAM_SHAPES[model]]
+        datas = [p.data.copy() for p in params]
+        for p in params:
+            p.grad = rng.standard_normal(p.shape)
+        optimizer = nn.Adam(params, lr=1e-3)
+        steps = 0
+
+        def step():
+            nonlocal steps
+            steps += 1
+            optimizer.step()
+
+        benchmark(step)
+        ms = [np.zeros_like(d) for d in datas]
+        vs = [np.zeros_like(d) for d in datas]
+        grads = [p.grad for p in params]
+        for t in range(1, steps + 1):
+            reference_adam_step(datas, ms, vs, grads, t)
+        for p, expected in zip(params, datas):
+            np.testing.assert_array_equal(p.data, expected)
 
 
 class TestCSSubstrate:

@@ -45,6 +45,7 @@ from .layers import (
     Tanh,
 )
 from .optim import Adam, AdaGrad, Optimizer, RMSProp, SGD
+from .optim import adagrad_update, adam_update, rmsprop_update, sgd_update
 from .tensor import Tensor
 
 ActiveSlices = Optional[Union[Sequence[int], np.ndarray]]
@@ -248,6 +249,10 @@ class FleetOptimizer(Optimizer):
     All state arrays are stacked along axis 0 like the parameters.
     """
 
+    # Kernels see whole stacked arrays: per-slice bias corrections do not
+    # survive flattening into chunks.
+    _max_piece = None
+
     def __init__(self, params, lr: float, num_slices: int):
         super().__init__(params, lr)
         if num_slices <= 0:
@@ -262,10 +267,25 @@ class FleetOptimizer(Optimizer):
     def step(self, active: ActiveSlices = None) -> None:
         raise NotImplementedError
 
-    @staticmethod
-    def _index(active: ActiveSlices):
+    def _apply_rows(self, active: ActiveSlices, kernel, states,
+                    *args) -> None:
+        """Fleet :meth:`~repro.nn.optim.Optimizer._apply`: run the
+        sequential ``kernel`` on the ``active`` slices of each parameter."""
         index = _as_index(active)
-        return slice(None) if index is None else index
+        for param, *state in zip(self.params, *states):
+            if param.grad is None:
+                continue
+            arrays = (param.data, *state)
+            if index is None:
+                kernel(*arrays, param.grad,
+                       *self._scratch(param.data.shape), *args)
+                continue
+            # Fancy indexing copies: update the gathered rows, scatter back.
+            rows = [array[index] for array in arrays]
+            kernel(*rows, param.grad[index], *self._scratch(rows[0].shape),
+                   *args)
+            for array, row in zip(arrays, rows):
+                array[index] = row
 
     @staticmethod
     def _per_slice(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -288,20 +308,8 @@ class FleetSGD(FleetOptimizer):
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, active: ActiveSlices = None) -> None:
-        idx = self._index(active)
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad[idx]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data[idx]
-            if self.momentum:
-                vel = self.momentum * velocity[idx] + grad
-                velocity[idx] = vel
-                update = grad + self.momentum * vel if self.nesterov else vel
-            else:
-                update = grad
-            param.data[idx] = param.data[idx] - self.lr * update
+        self._apply_rows(active, sgd_update, (self._velocity,), self.lr,
+                         self.momentum, self.nesterov, self.weight_decay)
 
 
 class FleetAdam(FleetOptimizer):
@@ -322,65 +330,21 @@ class FleetAdam(FleetOptimizer):
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = np.zeros(num_slices, dtype=np.int64)
-        # Scratch buffers for the allocation-free full-fleet step.
-        self._s1 = [np.empty_like(p.data) for p in self.params]
-        self._s2 = [np.empty_like(p.data) for p in self.params]
 
     def step(self, active: ActiveSlices = None) -> None:
-        if active is None:
-            self._step_all()
-            return
-        idx = self._index(active)
-        self._t[idx] += 1
-        t = self._t[idx]
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
-        for param, m, v in zip(self.params, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad[idx]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data[idx]
-            m_new = m[idx] * self.beta1 + (1.0 - self.beta1) * grad
-            v_new = v[idx] * self.beta2 + (1.0 - self.beta2) * grad * grad
-            m[idx] = m_new
-            v[idx] = v_new
-            m_hat = m_new / self._per_slice(bias1, param.data.ndim)
-            v_hat = v_new / self._per_slice(bias2, param.data.ndim)
-            param.data[idx] = param.data[idx] \
-                - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        index = _as_index(active)
+        rows = slice(None) if index is None else index
+        self._t[rows] += 1
+        bias1 = 1.0 - self.beta1 ** self._t[rows]
+        bias2 = 1.0 - self.beta2 ** self._t[rows]
 
-    def _step_all(self) -> None:
-        """Allocation-free fast path when every slice steps (the common
-        wave).  Mirrors the sequential Adam expressions operation for
-        operation, so slice trajectories stay bit-identical."""
-        self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
-        for param, m, v, s1, s2 in zip(self.params, self._m, self._v,
-                                       self._s1, self._s2):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            # m += (1 - beta1) * grad
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=s1)
-            m += s1
-            # v += ((1 - beta2) * grad) * grad
-            v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=s2)
-            s2 *= grad
-            v += s2
-            # param -= (lr * (m / bias1)) / (sqrt(v / bias2) + eps)
-            np.divide(v, self._per_slice(bias2, v.ndim), out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            np.divide(m, self._per_slice(bias1, m.ndim), out=s1)
-            s1 *= self.lr
-            s1 /= s2
-            param.data -= s1
+        def update(data, m, v, grad, s1, s2):
+            adam_update(data, m, v, grad, s1, s2, self.lr, self.beta1,
+                        self.beta2, self.eps,
+                        self._per_slice(bias1, data.ndim),
+                        self._per_slice(bias2, data.ndim), self.weight_decay)
+
+        self._apply_rows(active, update, (self._m, self._v))
 
 
 class FleetRMSProp(FleetOptimizer):
@@ -396,17 +360,8 @@ class FleetRMSProp(FleetOptimizer):
         self._sq = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, active: ActiveSlices = None) -> None:
-        idx = self._index(active)
-        for param, sq in zip(self.params, self._sq):
-            if param.grad is None:
-                continue
-            grad = param.grad[idx]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data[idx]
-            sq_new = sq[idx] * self.alpha + (1.0 - self.alpha) * grad * grad
-            sq[idx] = sq_new
-            param.data[idx] = param.data[idx] \
-                - self.lr * grad / (np.sqrt(sq_new) + self.eps)
+        self._apply_rows(active, rmsprop_update, (self._sq,), self.lr,
+                         self.alpha, self.eps, self.weight_decay)
 
 
 class FleetAdaGrad(FleetOptimizer):
@@ -419,15 +374,8 @@ class FleetAdaGrad(FleetOptimizer):
         self._acc = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, active: ActiveSlices = None) -> None:
-        idx = self._index(active)
-        for param, acc in zip(self.params, self._acc):
-            if param.grad is None:
-                continue
-            grad = param.grad[idx]
-            acc_new = acc[idx] + grad * grad
-            acc[idx] = acc_new
-            param.data[idx] = param.data[idx] \
-                - self.lr * grad / (np.sqrt(acc_new) + self.eps)
+        self._apply_rows(active, adagrad_update, (self._acc,), self.lr,
+                         self.eps)
 
 
 # Maps a sequential optimiser class to (fleet class, stacked-state attrs).

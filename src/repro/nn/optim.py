@@ -9,23 +9,47 @@ complete framework needs them anyway.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
 from .tensor import Tensor
 
 
+# Tensors above this many elements are updated in contiguous pieces of
+# this size, so every operand of a piece stays cache-resident across the
+# whole operation sequence (1 << 15 float64 is 256 KiB per operand).
+CHUNK = 1 << 15
+
+
 class Optimizer:
-    """Base optimiser over a flat list of parameters."""
+    """Base optimiser over a flat list of parameters.
+
+    ``step()`` updates ``param.data`` (and the optimiser state) **in
+    place**: an array obtained from ``param.data`` before a step holds
+    the stepped weights afterwards, so take a ``.copy()`` to snapshot
+    them.  Parameters are looked up on every step, never cached, so
+    rebinding ``param.data`` (e.g. :meth:`Module.load_state_dict`)
+    takes effect at the next step.
+    """
+
+    # Widest array a kernel is handed, which sizes the workspace: one chunk
+    # here, a whole tensor when None.
+    _max_piece: Optional[int] = CHUNK
 
     def __init__(self, params: Iterable[Tensor], lr: float):
         self.params: List[Tensor] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("optimizer received a parameter more than once")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
+        # Fixed scratch space, allocated at the first step: two rows as
+        # wide as the widest piece.
+        self._workspace: Optional[np.ndarray] = None
+        self._scratch_views = {}
 
     def zero_grad(self) -> None:
         for param in self.params:
@@ -33,6 +57,127 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
+
+    def _scratch(self, shape):
+        """Two scratch arrays of ``shape``: workspace views when they fit."""
+        pair = self._scratch_views.get(shape)
+        if pair is None:
+            if self._workspace is None:
+                width = max(p.data.size for p in self.params)
+                if self._max_piece is not None:
+                    width = min(width, self._max_piece)
+                self._workspace = np.empty(
+                    (2, width), np.result_type(*{p.data.dtype for p in self.params}))
+            size = math.prod(shape)
+            if size > self._workspace.shape[1]:
+                # A tensor wider than the workspace: a non-contiguous one
+                # updated whole.
+                return (np.empty(shape, self._workspace.dtype),
+                        np.empty(shape, self._workspace.dtype))
+            pair = tuple(row[:size].reshape(shape) for row in self._workspace)
+            self._scratch_views[shape] = pair
+        return pair
+
+    def _apply(self, kernel, states, *args) -> None:
+        """Run ``kernel(data, *state, grad, s1, s2, *args)`` on every
+        parameter that has a gradient, updating it in place.
+
+        Tensors above :data:`CHUNK` elements are walked in flat
+        ``CHUNK``-sized views; smaller ones, and ones whose written arrays
+        are not C-contiguous (a flat view would be a copy), go whole.
+        """
+        for param, *state in zip(self.params, *states):
+            if param.grad is None:
+                continue
+            arrays = (param.data, *state)
+            size = param.data.size
+            if size <= CHUNK or not all(a.flags.c_contiguous for a in arrays):
+                kernel(*arrays, param.grad, *self._scratch(param.data.shape),
+                       *args)
+                continue
+            flat = [a.reshape(-1) for a in (*arrays, param.grad)]
+            for start in range(0, size, CHUNK):
+                pieces = [a[start:start + CHUNK] for a in flat]
+                kernel(*pieces, *self._scratch(pieces[0].shape), *args)
+
+
+# Update kernels, shared with the slice-stacked optimisers in
+# ``repro.nn.batched``.  Each updates ``data`` and its state arrays in
+# place, using scratch arrays ``s1``/``s2`` shaped like ``data``.  The
+# operation order is fixed, so a whole tensor, a chunk of it and a fleet
+# slice of it all get bit-identical updates.
+
+def _decayed(grad, data, weight_decay, out):
+    """``grad + weight_decay * data`` into ``out`` (or ``grad`` when off)."""
+    if not weight_decay:
+        return grad
+    np.multiply(data, weight_decay, out=out)
+    out += grad
+    return out
+
+
+def sgd_update(data, velocity, grad, s1, s2, lr, momentum, nesterov,
+               weight_decay) -> None:
+    grad = _decayed(grad, data, weight_decay, s1)
+    update = grad
+    if momentum:
+        velocity *= momentum
+        velocity += grad
+        update = velocity
+        if nesterov:
+            update = np.multiply(velocity, momentum, out=s2)
+            update += grad
+    np.multiply(update, lr, out=s2)
+    data -= s2
+
+
+def adam_update(data, m, v, grad, s1, s2, lr, beta1, beta2, eps,
+                bias1, bias2, weight_decay) -> None:
+    """``bias1``/``bias2`` are the bias corrections: scalars, or per-slice
+    arrays broadcasting against ``data`` in a fleet."""
+    grad = _decayed(grad, data, weight_decay, s1)
+    # v = beta2 * v + ((1 - beta2) * grad) * grad
+    v *= beta2
+    np.multiply(grad, 1.0 - beta2, out=s2)
+    s2 *= grad
+    v += s2
+    # m = beta1 * m + (1 - beta1) * grad; grad may alias s1 from here on
+    m *= beta1
+    np.multiply(grad, 1.0 - beta1, out=s1)
+    m += s1
+    # data -= (lr * (m / bias1)) / (sqrt(v / bias2) + eps)
+    np.divide(v, bias2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    np.divide(m, bias1, out=s1)
+    s1 *= lr
+    s1 /= s2
+    data -= s1
+
+
+def rmsprop_update(data, sq, grad, s1, s2, lr, alpha, eps,
+                   weight_decay) -> None:
+    grad = _decayed(grad, data, weight_decay, s1)
+    sq *= alpha
+    np.multiply(grad, 1.0 - alpha, out=s2)
+    s2 *= grad
+    sq += s2
+    # data -= (lr * grad) / (sqrt(sq) + eps)
+    np.sqrt(sq, out=s2)
+    s2 += eps
+    np.multiply(grad, lr, out=s1)
+    s1 /= s2
+    data -= s1
+
+
+def adagrad_update(data, acc, grad, s1, s2, lr, eps) -> None:
+    np.multiply(grad, grad, out=s1)
+    acc += s1
+    np.sqrt(acc, out=s2)
+    s2 += eps
+    np.multiply(grad, lr, out=s1)
+    s1 /= s2
+    data -= s1
 
 
 class SGD(Optimizer):
@@ -52,19 +197,8 @@ class SGD(Optimizer):
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = grad + self.momentum * velocity if self.nesterov else velocity
-            else:
-                update = grad
-            param.data = param.data - self.lr * update
+        self._apply(sgd_update, (self._velocity,), self.lr, self.momentum,
+                    self.nesterov, self.weight_decay)
 
 
 class Adam(Optimizer):
@@ -83,21 +217,9 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
-        for param, m, v in zip(self.params, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._apply(adam_update, (self._m, self._v), self.lr, self.beta1,
+                    self.beta2, self.eps, 1.0 - self.beta1 ** self._t,
+                    1.0 - self.beta2 ** self._t, self.weight_decay)
 
 
 class RMSProp(Optimizer):
@@ -113,15 +235,8 @@ class RMSProp(Optimizer):
         self._sq = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        for param, sq in zip(self.params, self._sq):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            sq *= self.alpha
-            sq += (1.0 - self.alpha) * grad * grad
-            param.data = param.data - self.lr * grad / (np.sqrt(sq) + self.eps)
+        self._apply(rmsprop_update, (self._sq,), self.lr, self.alpha,
+                    self.eps, self.weight_decay)
 
 
 class AdaGrad(Optimizer):
@@ -134,11 +249,7 @@ class AdaGrad(Optimizer):
         self._acc = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        for param, acc in zip(self.params, self._acc):
-            if param.grad is None:
-                continue
-            acc += param.grad * param.grad
-            param.data = param.data - self.lr * param.grad / (np.sqrt(acc) + self.eps)
+        self._apply(adagrad_update, (self._acc,), self.lr, self.eps)
 
 
 class LRScheduler:
@@ -223,6 +334,8 @@ _OPTIMIZERS = {
 def make_optimizer(name: str, params: Iterable[Tensor], **kwargs) -> Optimizer:
     """Instantiate an optimiser by name."""
     try:
-        return _OPTIMIZERS[name](params, **kwargs)
+        cls = _OPTIMIZERS[name]
     except KeyError:
-        raise KeyError(f"unknown optimizer {name!r}; choose from {sorted(_OPTIMIZERS)}")
+        raise KeyError(f"unknown optimizer {name!r}; "
+                       f"choose from {sorted(_OPTIMIZERS)}") from None
+    return cls(params, **kwargs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    AdaGrad,
     Adam,
     BatchedDense,
     Dense,
@@ -14,6 +15,7 @@ from repro.nn import (
     HuberLoss,
     MSELoss,
     ReLU,
+    RMSProp,
     SGD,
     Sequential,
     Sigmoid,
@@ -181,6 +183,67 @@ class TestFleetOptimizers:
         fleet_opt._m[0][1] += 0.5
         fleet_optimizer_to(fleet_opt, single_opts)
         np.testing.assert_array_equal(single_opts[1]._m[0], fleet_opt._m[0][1])
+
+    @pytest.mark.parametrize("opt_cls,kwargs", [
+        (Adam, {"lr": 0.01}),
+        (Adam, {"lr": 0.01, "weight_decay": 0.01}),
+        (SGD, {"lr": 0.1, "momentum": 0.9, "nesterov": True}),
+        (RMSProp, {"lr": 0.01}),
+        (AdaGrad, {"lr": 0.1}),
+    ])
+    def test_roundtrip_bit_identical_to_sequential(self, opt_cls, kwargs):
+        # Both paths run the same update kernels, so with the same
+        # gradients a fleet leg (full and masked steps) between
+        # fleet_optimizer_from and fleet_optimizer_to is exact.
+        K, rng = 3, np.random.default_rng(3)
+        grads = [[rng.standard_normal(s) for s in ((4, 3), (3,))]
+                 for _ in range(6 * K)]
+        active_steps = [None, None, None, [0, 2], [1], None]
+
+        def build():
+            layers = [Dense(4, 3, rng=np.random.default_rng(k))
+                      for k in range(K)]
+            return layers, [opt_cls(layer.parameters(), **kwargs)
+                            for layer in layers]
+
+        def sequential_step(layers, opts, step, active):
+            for k in range(K) if active is None else active:
+                for p, g in zip(layers[k].parameters(), grads[step * K + k]):
+                    p.grad = g
+                opts[k].step()
+
+        seq_layers, seq_opts = build()
+        for step, active in enumerate(active_steps):
+            sequential_step(seq_layers, seq_opts, step, active)
+
+        layers, opts = build()
+        for step in range(2):
+            sequential_step(layers, opts, step, active_steps[step])
+        batched = BatchedDense.from_layers(layers)
+        fleet = fleet_optimizer_from(opts, batched.parameters())
+        for step in range(2, len(active_steps)):
+            stacked = [np.stack([grads[step * K + k][j] for k in range(K)])
+                       for j in range(2)]
+            stacked[1] = stacked[1][:, None, :]
+            active = active_steps[step]
+            if active is not None:
+                for k in set(range(K)) - set(active):
+                    for g in stacked:
+                        g[k] = np.nan     # inactive rows must go unread
+            batched.weight.grad, batched.bias.grad = stacked
+            fleet.step(active)
+        fleet_optimizer_to(fleet, opts)
+        batched.to_layers(layers)
+
+        for layer, seq_layer in zip(layers, seq_layers):
+            for p, q in zip(layer.parameters(), seq_layer.parameters()):
+                np.testing.assert_array_equal(p.data, q.data)
+        for opt, seq_opt in zip(opts, seq_opts):
+            for attr, value in vars(seq_opt).items():
+                if attr.startswith("_") and isinstance(value, list):
+                    for a, b in zip(getattr(opt, attr), value):
+                        np.testing.assert_array_equal(a, b)
+            assert getattr(opt, "_t", None) == getattr(seq_opt, "_t", None)
 
     def test_mixed_optimizers_rejected(self):
         layers = [Dense(2, 2), Dense(2, 2)]
