@@ -1,7 +1,8 @@
 """Microbenchmarks for the substrates (repeated-timing mode).
 
 These measure the hot paths the figure experiments sit on: autograd
-training rounds, conv forward/backward, the optimiser step, sparse
+training rounds (including one OrcoDCS round on the fleet_live shape),
+conv forward/backward, the optimiser step, sparse
 solvers, WSN aggregation simulation and dataset generation.
 """
 
@@ -9,16 +10,36 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.core import OrcoDCSConfig, OrcoDCSFramework
 from repro.cs import gaussian_matrix, omp
 from repro.datasets import generate_digits, render_sign
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, where
 from repro.wsn import (
     WSNetwork,
     build_aggregation_tree,
     select_aggregator,
     simulate_raw_aggregation,
 )
+
+
+def composed_dense_forward(self, x):
+    """Frozen reference: ``Dense`` as the ``matmul`` + ``add`` graph it
+    built before it became one ``F.affine`` tape node."""
+    out = x.matmul(self.weight)
+    if self.bias is not None:
+        out = out + self.bias
+    return out
+
+
+def composed_huber_forward(self, prediction, target):
+    """Frozen reference: ``HuberLoss`` as the 9-node composed graph it
+    built before it became one fused tape node."""
+    diff = prediction - target
+    abs_diff = diff.abs()
+    quadratic = diff * diff * 0.5
+    linear = abs_diff * self.delta - 0.5 * self.delta ** 2
+    return where(abs_diff.data <= self.delta, quadratic, linear).mean()
 
 
 class TestNNSubstrate:
@@ -40,6 +61,23 @@ class TestNNSubstrate:
 
         result = benchmark(round_step)
         assert result > 0
+
+    def test_orchestrated_round(self, benchmark, monkeypatch):
+        # One fleet_live-shaped round: 40-device OrcoDCS, latent 6,
+        # batch 8, Huber loss, Adam on both sides.
+        config = OrcoDCSConfig(input_dim=40, latent_dim=6, noise_sigma=0.05,
+                               batch_size=8, seed=0)
+        batch = np.random.default_rng(0).random((8, 40))
+        framework = OrcoDCSFramework(config)
+        losses = []
+        benchmark(lambda: losses.append(framework.step(batch).train_loss))
+        monkeypatch.setattr(nn.Dense, "forward", composed_dense_forward)
+        monkeypatch.setattr(nn.HuberLoss, "forward", composed_huber_forward)
+        reference = OrcoDCSFramework(config)
+        assert [reference.step(batch).train_loss for _ in losses] == losses
+        state = framework.model.state_dict()
+        for name, expected in reference.model.state_dict().items():
+            np.testing.assert_array_equal(state[name], expected)
 
     def test_conv2d_forward_backward(self, benchmark):
         rng = np.random.default_rng(0)

@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from . import functional as F
 from .layers import (
     Dense,
     Identity,
@@ -57,33 +58,6 @@ _STATELESS_ACTIVATIONS = (ReLU, LeakyReLU, Sigmoid, Tanh, Identity, Softmax)
 
 class FleetIncompatibilityError(ValueError):
     """Raised when a set of modules/trainers cannot be stacked."""
-
-
-def _batched_affine(x: Tensor, weight: Tensor,
-                    bias: Optional[Tensor]) -> Tensor:
-    """``x @ W + b`` as a single autograd node.
-
-    Value- and gradient-identical to composing ``matmul`` and ``add``
-    (the per-slice Dense semantics), but one tape node instead of two —
-    the batched engine's hot path.
-    """
-    data = x.data @ weight.data
-    if bias is not None:
-        data += bias.data        # data is fresh; in-place add is safe
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = x._make_child(data, parents, "batched_affine")
-    if out.requires_grad:
-
-        def backward(grad: np.ndarray) -> None:
-            if x.requires_grad:
-                x._accumulate(grad @ np.swapaxes(weight.data, -1, -2))
-            if weight.requires_grad:
-                weight._accumulate(np.swapaxes(x.data, -1, -2) @ grad)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=-2, keepdims=True))
-
-        out._backward = backward
-    return out
 
 
 def _as_index(active: ActiveSlices) -> Optional[np.ndarray]:
@@ -160,7 +134,7 @@ class BatchedDense(Module):
         if index is not None:
             weight = weight[index]
             bias = bias[index] if bias is not None else None
-        return _batched_affine(x, weight, bias)
+        return F.affine(x, weight, bias)
 
     def __repr__(self) -> str:
         return (f"BatchedDense(slices={self.num_slices}, "

@@ -2,7 +2,7 @@
 
 The pure-numpy helpers (:func:`im2col_array`, :func:`col2im_array`) do the
 data movement that convolution and pooling need.  The public functions
-(:func:`conv2d`, :func:`max_pool2d`, :func:`avg_pool2d`,
+(:func:`affine`, :func:`conv2d`, :func:`max_pool2d`, :func:`avg_pool2d`,
 :func:`upsample2d`) operate on :class:`~repro.nn.tensor.Tensor` objects
 and register backward closures, so they compose with the rest of the
 autograd graph.
@@ -13,11 +13,11 @@ width)``.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -98,6 +98,40 @@ def col2im_array(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
     if ph or pw:
         return padded[:, :, ph:ph + height, pw:pw + width]
     return padded
+
+
+def affine(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weight + bias`` as one autograd node.
+
+    Value- and gradient-identical to ``x.matmul(weight) + bias``, but one
+    tape node instead of two.  Serves ``Dense`` on ``(in,)``, ``(B, in)``
+    or ``(B, T, in)`` inputs and the ``(K, B, in) @ (K, in, out) +
+    (K, 1, out)`` fleet stacks alike.
+    """
+    data = x.data @ weight.data
+    if bias is not None:
+        data += bias.data        # data is fresh; in-place add is safe
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = x._make_child(data, parents, "affine")
+    if out.requires_grad:
+
+        def backward(grad: np.ndarray) -> None:
+            x_data, g = x.data, grad
+            if x_data.ndim == 1:
+                x_data, g = x_data[None, :], np.expand_dims(grad, -2)
+            if x.requires_grad:
+                gx = g @ np.swapaxes(weight.data, -1, -2)
+                if x.ndim == 1:
+                    gx = gx.reshape(gx.shape[:-2] + gx.shape[-1:])
+                x._accumulate(_unbroadcast(gx, x.shape))
+            if weight.requires_grad:
+                gw = np.swapaxes(x_data, -1, -2) @ g
+                weight._accumulate(_unbroadcast(gw, weight.shape))
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(_unbroadcast(grad, bias.shape))
+
+        out._backward = backward
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None,

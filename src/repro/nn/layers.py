@@ -191,10 +191,7 @@ class Dense(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.affine(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Dense({self.in_features}, {self.out_features})"
@@ -355,9 +352,10 @@ _ACTIVATIONS = {
 def make_activation(name: str) -> Module:
     """Instantiate an activation layer by name."""
     try:
-        return _ACTIVATIONS[name]()
+        cls = _ACTIVATIONS[name]
     except KeyError:
-        raise KeyError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}")
+        raise KeyError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}") from None
+    return cls()
 
 
 class Dropout(Module):

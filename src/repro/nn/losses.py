@@ -9,10 +9,13 @@ cross-entropy for the follow-up classifier.
 
 from __future__ import annotations
 
+import math
+from typing import Callable, Optional
+
 import numpy as np
 
 from . import functional as F
-from .tensor import Tensor, where
+from .tensor import Tensor, _unbroadcast, where
 
 
 class Loss:
@@ -21,8 +24,8 @@ class Loss:
     Losses that support the stacked fleet engine additionally implement
     ``_per_cluster``: given ``(K, B, ...)`` stacks it returns a ``(K,)``
     tensor whose entry ``k`` equals ``forward`` applied to slice ``k``
-    alone — the reduction the batched multi-cluster trainer needs to keep
-    per-cluster trajectories exact.
+    alone, which keeps per-cluster trajectories exact.  MSE and Huber
+    serve both reductions from one fused kernel that takes the axes.
     """
 
     def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
@@ -50,36 +53,52 @@ def _slice_axes(tensor: Tensor) -> tuple:
     return tuple(range(1, tensor.ndim))
 
 
+def _fused_mean(prediction: Tensor, target: Tensor, losses: np.ndarray,
+                axes: Optional[tuple], op: str,
+                slope: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """Mean of elementwise ``losses`` over ``axes`` (all when None) as one
+    tape node.  ``slope(scaled)`` maps the upstream gradient, divided by
+    the element count and broadcastable to ``losses``, to the gradient of
+    the residual ``prediction - target``.  ``axes=None`` sums in
+    ``Tensor.mean``'s order, so the value matches the composed graph's."""
+    value = losses.sum(axis=axes)
+    count = losses.size if axes is None else math.prod(losses.shape[ax] for ax in axes)
+    out = prediction._make_child(np.asarray(value * (1.0 / count)),
+                                 (prediction, target), op)
+    if out.requires_grad:
+        ndim = losses.ndim           # the backward closure keeps no losses
+
+        def backward(grad: np.ndarray) -> None:
+            scaled = grad * (1.0 / count)
+            elem = slope(scaled.reshape(
+                scaled.shape + (1,) * (ndim - scaled.ndim)))
+            prediction._accumulate(_unbroadcast(elem, prediction.shape))
+            if target.requires_grad:
+                target._accumulate(_unbroadcast(-elem, target.shape))
+
+        out._backward = backward
+    return out
+
+
 class MSELoss(Loss):
     """Mean squared error: ``mean((x - y)^2)``."""
 
     def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        diff = prediction - target
-        return (diff * diff).mean()
+        return self._mean(prediction, target, None)
 
     def _per_cluster(self, prediction: Tensor, target: Tensor) -> Tensor:
-        # Fused tape node (hot path of the fleet engine): exactly
-        # ``((p - t) ** 2).mean_over_non_slice_axes`` with the composed
-        # graph's gradient, 1 node instead of 4.
+        return self._mean(prediction, target, _slice_axes(prediction))
+
+    def _mean(self, prediction: Tensor, target: Tensor,
+              axes: Optional[tuple]) -> Tensor:
+        # The values and gradients of ``((p - t) * (p - t)).mean(axes)``.
         diff = prediction.data - target.data
-        axes = tuple(range(1, diff.ndim))
-        count = int(np.prod([diff.shape[ax] for ax in axes]))
-        value = (diff * diff).sum(axis=axes) * (1.0 / count)
-        out = prediction._make_child(np.asarray(value), (prediction, target),
-                                     "mse_per_cluster")
-        if out.requires_grad:
 
-            def backward(grad: np.ndarray) -> None:
-                scaled = grad * (1.0 / count)
-                elem = scaled.reshape(scaled.shape + (1,) * len(axes)) * diff
-                elem = elem + elem      # d(d^2) = 2 d, as the composed graph
-                if prediction.requires_grad:
-                    prediction._accumulate(elem)
-                if target.requires_grad:
-                    target._accumulate(-elem)
+        def slope(scaled: np.ndarray) -> np.ndarray:
+            elem = scaled * diff
+            return elem + elem      # d(d^2) = 2 d, as the composed graph
 
-            out._backward = backward
-        return out
+        return _fused_mean(prediction, target, diff * diff, axes, "mse", slope)
 
 
 class L1Loss(Loss):
@@ -107,20 +126,16 @@ class HuberLoss(Loss):
             raise ValueError("delta must be positive")
         self.delta = delta
 
-    def _elementwise(self, prediction: Tensor, target: Tensor) -> Tensor:
-        diff = prediction - target
-        abs_diff = diff.abs()
-        quadratic = diff * diff * 0.5
-        linear = abs_diff * self.delta - 0.5 * self.delta ** 2
-        return where(abs_diff.data <= self.delta, quadratic, linear)
-
     def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        return self._elementwise(prediction, target).mean()
+        return self._mean(prediction, target, None)
 
     def _per_cluster(self, prediction: Tensor, target: Tensor) -> Tensor:
-        # Fused tape node (hot path of the fleet engine): identical
-        # values/gradients to ``self._elementwise(...).mean(axis=...)``,
-        # 1 node instead of ~8.
+        return self._mean(prediction, target, _slice_axes(prediction))
+
+    def _mean(self, prediction: Tensor, target: Tensor,
+              axes: Optional[tuple]) -> Tensor:
+        # The values and gradients of the 9-node composed graph
+        # ``where(|d| <= delta, 0.5 d^2, delta |d| - 0.5 delta^2).mean(axes)``.
         delta = self.delta
         diff = prediction.data - target.data
         abs_diff = np.abs(diff)
@@ -131,25 +146,12 @@ class HuberLoss(Loss):
         linear *= delta
         linear -= 0.5 * delta ** 2
         losses = np.where(quadratic_mask, quadratic, linear)
-        axes = tuple(range(1, losses.ndim))
-        count = int(np.prod([losses.shape[ax] for ax in axes]))
-        value = losses.sum(axis=axes) * (1.0 / count)
-        out = prediction._make_child(np.asarray(value), (prediction, target),
-                                     "huber_per_cluster")
-        if out.requires_grad:
 
-            def backward(grad: np.ndarray) -> None:
-                scaled = grad * (1.0 / count)
-                scaled = scaled.reshape(scaled.shape + (1,) * len(axes))
-                elem = scaled * np.where(quadratic_mask, diff,
-                                         delta * np.sign(diff))
-                if prediction.requires_grad:
-                    prediction._accumulate(elem)
-                if target.requires_grad:
-                    target._accumulate(-elem)
+        def slope(scaled: np.ndarray) -> np.ndarray:
+            return scaled * np.where(quadratic_mask, diff,
+                                     delta * np.sign(diff))
 
-            out._backward = backward
-        return out
+        return _fused_mean(prediction, target, losses, axes, "huber", slope)
 
 
 class VectorHuberLoss(Loss):
@@ -238,6 +240,7 @@ _LOSSES = {
 def make_loss(name: str, **kwargs) -> Loss:
     """Instantiate a loss by name (``mse``, ``huber``, ...)."""
     try:
-        return _LOSSES[name](**kwargs)
+        cls = _LOSSES[name]
     except KeyError:
-        raise KeyError(f"unknown loss {name!r}; choose from {sorted(_LOSSES)}")
+        raise KeyError(f"unknown loss {name!r}; choose from {sorted(_LOSSES)}") from None
+    return cls(**kwargs)

@@ -10,6 +10,9 @@ from repro.core import (
     TrainingHistory,
 )
 from repro.nn import Dense, HuberLoss, Sequential, Sigmoid
+from repro.nn.tensor import Tensor
+from test_nn_layers import composed_dense_forward
+from test_nn_losses import composed_huber_forward
 
 
 def toy_rows(count=64, dim=20, seed=0):
@@ -228,3 +231,53 @@ class TestOrcoDCSFramework:
         framework = OrcoDCSFramework(config)
         with pytest.raises(ValueError):
             framework.reconstruct_diverse(toy_rows(2, 30), copies=0)
+
+
+def tape_nodes(root):
+    """Non-leaf nodes that require grad in the graph ending at ``root``."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        count += bool(node._parents)
+        stack.extend(node._parents)
+    return count
+
+
+class TestFusedRound:
+    """A 40-device, latent-6 Huber round (the fleet_live shape) runs on
+    fused tape nodes without moving a single bit of the trajectory."""
+
+    CONFIG = OrcoDCSConfig(input_dim=40, latent_dim=6, noise_sigma=0.05,
+                           batch_size=8, seed=11)
+
+    def run(self, rounds=50):
+        framework = OrcoDCSFramework(self.CONFIG)
+        rows = np.random.default_rng(5).random((rounds, 8, 40))
+        losses = [framework.step(batch).train_loss for batch in rows]
+        return framework, losses
+
+    def test_bit_identical_to_composed_graph(self, monkeypatch):
+        fused, fused_losses = self.run()
+        monkeypatch.setattr(Dense, "forward", composed_dense_forward)
+        monkeypatch.setattr(HuberLoss, "forward", composed_huber_forward)
+        composed, composed_losses = self.run()
+        assert fused_losses == composed_losses
+        for name, value in composed.model.state_dict().items():
+            np.testing.assert_array_equal(
+                fused.model.state_dict()[name], value, err_msg=name)
+        for side in ("encoder_optimizer", "decoder_optimizer"):
+            ours, ref = getattr(fused, side), getattr(composed, side)
+            assert ours._t == ref._t == 50
+            for a, b in zip(ours._m + ours._v, ref._m + ref._v):
+                np.testing.assert_array_equal(a, b)
+
+    def test_round_graph_is_six_nodes(self):
+        # affine, sigmoid, noise add, affine, sigmoid, loss
+        framework = OrcoDCSFramework(self.CONFIG)
+        batch = np.random.default_rng(5).random((8, 40))
+        reconstruction = framework._forward(batch, training=True)
+        loss = framework.reconstruction_loss(reconstruction, Tensor(batch))
+        assert tape_nodes(loss) == 6

@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn import functional as F
+from repro.nn import layers
 from repro.nn.tensor import Tensor
+
+
+def composed_affine(x, weight, bias):
+    """Frozen reference: ``Dense.forward`` as the two tape nodes
+    ``matmul`` + ``add`` it built before it became one ``F.affine`` node."""
+    out = x.matmul(weight)
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def composed_dense_forward(self, x):
+    return composed_affine(x, self.weight, self.bias)
 
 
 class TestModuleMachinery:
@@ -102,6 +117,52 @@ class TestDense:
         b = nn.Dense(4, 4, rng=np.random.default_rng(42))
         assert np.allclose(a.weight.data, b.weight.data)
 
+    @pytest.mark.parametrize("shape", [(4,), (5, 4), (2, 5, 4)])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_bit_identical_to_composed_graph(self, shape, bias, x_grad):
+        rng = np.random.default_rng(7)
+        dense = nn.Dense(4, 3, bias=bias, rng=rng)
+        if bias:
+            dense.bias.data = rng.standard_normal(3)
+        x_data = rng.standard_normal(shape)
+        upstream = rng.standard_normal(shape[:-1] + (3,))
+        results = []
+        for forward in (dense.forward, lambda x: composed_dense_forward(dense, x)):
+            dense.zero_grad()
+            x = Tensor(x_data, requires_grad=x_grad)
+            out = forward(x)
+            out.backward(upstream)
+            results.append((out, x.grad,
+                            [p.grad for p in dense.parameters()]))
+        (out, x_grad_fused, grads), (ref, x_grad_ref, ref_grads) = results
+        assert out.shape == ref.shape
+        np.testing.assert_array_equal(out.data, ref.data)
+        if x_grad:
+            np.testing.assert_array_equal(x_grad_fused, x_grad_ref)
+        else:
+            assert x_grad_fused is None and x_grad_ref is None
+        for grad, ref_grad in zip(grads, ref_grads):
+            assert grad.shape == ref_grad.shape
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_affine_bit_identical_on_fleet_stacks(self):
+        # The (K, B, in) @ (K, in, out) + (K, 1, out) layout of BatchedDense.
+        rng = np.random.default_rng(8)
+        x_data = rng.standard_normal((3, 5, 4))
+        params = [rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 1, 2))]
+        upstream = rng.standard_normal((3, 5, 2))
+        results = []
+        for op in (F.affine, composed_affine):
+            x = Tensor(x_data, requires_grad=True)
+            weight, bias = (Tensor(p, requires_grad=True) for p in params)
+            out = op(x, weight, bias)
+            out.backward(upstream)
+            results.append([out.data, x.grad, weight.grad, bias.grad])
+        for fused, ref in zip(*results):
+            assert fused.shape == ref.shape
+            np.testing.assert_array_equal(fused, ref)
+
 
 class TestConvLayers:
     def test_conv2d_shape(self):
@@ -149,8 +210,21 @@ class TestActivationLayers:
         assert np.allclose(out.data, 0.25)
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown activation 'swish9000'") \
+                as info:
             nn.make_activation("swish9000")
+        # The failed dict lookup is not chained onto the report.
+        assert info.value.__suppress_context__
+
+    def test_make_activation_keeps_constructor_key_error(self, monkeypatch):
+        class Broken(nn.ReLU):
+            def __init__(self):
+                raise KeyError("missing setting")
+
+        monkeypatch.setitem(layers._ACTIVATIONS, "broken", Broken)
+        with pytest.raises(KeyError, match="missing setting") as info:
+            nn.make_activation("broken")
+        assert "unknown activation" not in str(info.value)
 
     def test_leaky_relu_layer(self):
         layer = nn.LeakyReLU(0.2)

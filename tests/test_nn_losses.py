@@ -1,10 +1,33 @@
 """Unit tests for loss functions."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.tensor import Tensor
+from repro.nn import losses
+from repro.nn.tensor import Tensor, where
+
+
+# Frozen references: MSELoss / HuberLoss as the composed tape graphs they
+# built before each became one fused node.  ``axes=None`` is ``forward``;
+# the slice axes are the fleet engine's ``per_cluster`` reduction.
+def composed_mse(prediction, target, axes=None):
+    diff = prediction - target
+    return (diff * diff).mean(axis=axes)
+
+
+def composed_huber(delta, prediction, target, axes=None):
+    diff = prediction - target
+    abs_diff = diff.abs()
+    quadratic = diff * diff * 0.5
+    linear = abs_diff * delta - 0.5 * delta ** 2
+    return where(abs_diff.data <= delta, quadratic, linear).mean(axis=axes)
+
+
+def composed_huber_forward(self, prediction, target):
+    return composed_huber(self.delta, prediction, target)
 
 
 class TestMSE:
@@ -20,6 +43,59 @@ class TestMSE:
         p = Tensor(np.array([2.0]), requires_grad=True)
         nn.MSELoss()(p, np.array([0.0])).backward()
         assert np.allclose(p.grad, [4.0])
+
+
+def residual_batch(delta, shape, seed):
+    """``(target, prediction)`` with residuals exactly at +-delta and 0
+    among random ones on both sides of the Huber threshold."""
+    rng = np.random.default_rng(seed)
+    target = rng.random(shape)
+    prediction = target + rng.uniform(-3 * delta, 3 * delta, shape)
+    flat_t, flat_p = target.reshape(-1), prediction.reshape(-1)
+    flat_t[:3] = 0.25                   # 0.25 +- 0.5 and +- 1.0 are exact
+    flat_p[:3] = [0.25 + delta, 0.25 - delta, 0.25]
+    return target, prediction
+
+
+LOSS_CASES = [("mse", 0.5), ("mse", 1.0), ("huber", 0.5), ("huber", 1.0)]
+
+
+class TestFusedLossKernels:
+    @pytest.mark.parametrize("kind,delta", LOSS_CASES)
+    @pytest.mark.parametrize("per_cluster", [False, True])
+    @pytest.mark.parametrize("target_grad", [False, True])
+    def test_bit_identical_to_composed_graph(self, kind, delta, per_cluster,
+                                             target_grad):
+        shape = (3, 4, 5) if per_cluster else (6, 5)
+        target_data, prediction_data = residual_batch(delta, shape, seed=3)
+        assert np.any(np.abs(prediction_data - target_data) == delta)
+        if kind == "mse":
+            loss, reference = nn.MSELoss(), composed_mse
+        else:
+            loss = nn.HuberLoss(delta)
+            reference = functools.partial(composed_huber, delta)
+        upstream = (np.random.default_rng(4).standard_normal(shape[0])
+                    if per_cluster else None)
+        results = []
+        for fused in (True, False):
+            prediction = Tensor(prediction_data, requires_grad=True)
+            target = Tensor(target_data, requires_grad=target_grad)
+            if fused:
+                value = (loss.per_cluster(prediction, target) if per_cluster
+                         else loss(prediction, target))
+            else:
+                value = reference(prediction, target,
+                                  (1, 2) if per_cluster else None)
+            value.backward(upstream)
+            results.append((value.data, prediction.grad, target.grad))
+        (value, p_grad, t_grad), (ref, ref_p_grad, ref_t_grad) = results
+        assert value.shape == ref.shape
+        np.testing.assert_array_equal(value, ref)
+        np.testing.assert_array_equal(p_grad, ref_p_grad)
+        if target_grad:
+            np.testing.assert_array_equal(t_grad, ref_t_grad)
+        else:
+            assert t_grad is None and ref_t_grad is None
 
 
 class TestL1:
@@ -151,5 +227,17 @@ class TestRegistry:
         assert isinstance(nn.make_loss("huber", delta=2.0), nn.HuberLoss)
 
     def test_unknown_loss(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown loss 'hinge'") as info:
             nn.make_loss("hinge")
+        # The failed dict lookup is not chained onto the report.
+        assert info.value.__suppress_context__
+
+    def test_make_loss_keeps_constructor_key_error(self, monkeypatch):
+        class Broken(nn.MSELoss):
+            def __init__(self, **kwargs):
+                raise KeyError("missing setting")
+
+        monkeypatch.setitem(losses._LOSSES, "broken", Broken)
+        with pytest.raises(KeyError, match="missing setting") as info:
+            nn.make_loss("broken")
+        assert "unknown loss" not in str(info.value)
